@@ -137,6 +137,28 @@ func (s storeAdapter) ScanN(start []byte, n int) (int, error) {
 	return len(kvs), err
 }
 
+// loadStore opens a fresh store of the given mode and loads it in
+// random order. It also returns the merge compactions the load ran
+// (flushes and trivial moves skipped), in order: the per-compaction
+// trace behind Figures 2, 3(a), 10, 11 and 13.
+func (o Options) loadStore(mode lsm.Mode) (*lsm.DB, []lsm.CompactionInfo, error) {
+	db, err := o.openStore(mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	var merges []lsm.CompactionInfo
+	db.SetCompactionObserver(func(ci lsm.CompactionInfo) {
+		if !ci.Flush && !ci.TrivialMove {
+			merges = append(merges, ci)
+		}
+	})
+	if err := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed).LoadRandom(o.Records()); err != nil {
+		db.Close()
+		return nil, nil, err
+	}
+	return db, merges, nil
+}
+
 // simTime returns the accumulated simulated device time of a store.
 func simTime(db *lsm.DB) time.Duration {
 	return db.Device().Disk.Stats().BusyTime

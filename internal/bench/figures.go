@@ -8,7 +8,6 @@ import (
 
 	"sealdb/internal/kv"
 	"sealdb/internal/lsm"
-	"sealdb/internal/ycsb"
 )
 
 // ---------------------------------------------------------------------------
@@ -44,21 +43,17 @@ type LayoutResult struct {
 // "Ext4 Magic"); mode selects Figure 2 (ModeLevelDB) or 11
 // (ModeSEALDB).
 func RunLayout(o Options, mode lsm.Mode) (*LayoutResult, error) {
-	db, err := o.openStore(mode)
+	db, merges, err := o.loadStore(mode)
 	if err != nil {
 		return nil, err
 	}
 	defer db.Close()
-	runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-	if err := runner.LoadRandom(o.Records()); err != nil {
-		return nil, err
-	}
 
 	res := &LayoutResult{Store: mode.String()}
 	var minOff, maxOff int64 = 1 << 62, 0
 	var extents int
-	for _, ci := range db.Stats().Compactions {
-		if ci.Flush || ci.TrivialMove || len(ci.OutputPlacements) == 0 {
+	for _, ci := range merges {
+		if len(ci.OutputPlacements) == 0 {
 			continue
 		}
 		res.Compactions++
@@ -136,20 +131,16 @@ func RunFig3(o Options) ([]BandSweepRow, error) {
 		g.BandSize = int64(units * float64(sst))
 		opts := o
 		opts.Geometry = g
-		db, err := lsm.Open(lsm.Config{Mode: lsm.ModeLevelDB, Geometry: g, Seed: o.Seed})
+		db, merges, err := opts.loadStore(lsm.ModeLevelDB)
 		if err != nil {
-			return nil, err
-		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		if err := runner.LoadRandom(o.Records()); err != nil {
 			return nil, err
 		}
 
 		// Per-compaction: SSTables written and distinct bands their
 		// placements touch (Figure 3(a)).
 		var sstSum, bandSum, n float64
-		for _, ci := range db.Stats().Compactions {
-			if ci.Flush || ci.TrivialMove || len(ci.OutputPlacements) == 0 {
+		for _, ci := range merges {
+			if len(ci.OutputPlacements) == 0 {
 				continue
 			}
 			bands := map[int64]bool{}
@@ -211,21 +202,14 @@ type CompactionProfile struct {
 func RunFig10(o Options) ([]*CompactionProfile, error) {
 	var out []*CompactionProfile
 	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeSMRDB, lsm.ModeSEALDB} {
-		db, err := o.openStore(mode)
+		db, merges, err := o.loadStore(mode)
 		if err != nil {
-			return nil, err
-		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		if err := runner.LoadRandom(o.Records()); err != nil {
 			return nil, err
 		}
 		p := &CompactionProfile{Store: mode.String()}
 		var bytesSum, setBytes, setFiles float64
 		var setN float64
-		for _, ci := range db.Stats().Compactions {
-			if ci.Flush || ci.TrivialMove {
-				continue
-			}
+		for _, ci := range merges {
 			p.Compactions++
 			p.Latencies = append(p.Latencies, ci.Latency)
 			p.TotalTime += ci.Latency
@@ -288,12 +272,8 @@ type AmplificationRow struct {
 func RunFig12(o Options) ([]AmplificationRow, error) {
 	var rows []AmplificationRow
 	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeSMRDB, lsm.ModeSEALDB} {
-		db, err := o.openStore(mode)
+		db, _, err := o.loadStore(mode)
 		if err != nil {
-			return nil, err
-		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		if err := runner.LoadRandom(o.Records()); err != nil {
 			return nil, err
 		}
 		rows = append(rows, AmplificationRow{Store: mode.String(), Amplification: db.Amplification()})
@@ -330,21 +310,17 @@ type FragmentResult struct {
 // and fragment census, using the measured average set size as the
 // fragment threshold as the paper does.
 func RunFig13(o Options) (*FragmentResult, []LayoutPoint, error) {
-	db, err := o.openStore(lsm.ModeSEALDB)
+	db, merges, err := o.loadStore(lsm.ModeSEALDB)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer db.Close()
-	runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-	if err := runner.LoadRandom(o.Records()); err != nil {
-		return nil, nil, err
-	}
 
 	// Average set size from the compaction trace.
 	var setBytes float64
 	var setN float64
-	for _, ci := range db.Stats().Compactions {
-		if !ci.Flush && !ci.TrivialMove && ci.Inputs1 > 0 {
+	for _, ci := range merges {
+		if ci.Inputs1 > 0 {
 			setBytes += float64(ci.OutputBytes)
 			setN++
 		}

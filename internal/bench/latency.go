@@ -25,19 +25,14 @@ type LatencyRow struct {
 func RunLatencyProfile(o Options) ([]LatencyRow, error) {
 	var rows []LatencyRow
 	for _, mode := range []lsm.Mode{lsm.ModeLevelDB, lsm.ModeSMRDB, lsm.ModeSEALDB} {
-		db, err := o.openStore(mode)
+		db, _, err := o.loadStore(mode)
 		if err != nil {
-			return nil, err
-		}
-		runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-		records := o.Records()
-		if err := runner.LoadRandom(records); err != nil {
 			return nil, err
 		}
 
 		row := LatencyRow{Store: mode.String(), Reads: &Histogram{}, Writes: &Histogram{}}
 		rng := newRng(o.Seed + 3)
-		gen := ycsb.NewScrambledZipfian(records)
+		gen := ycsb.NewScrambledZipfian(o.Records())
 		val := make([]byte, o.ValueSize)
 		clock := func() time.Duration { return db.Device().Disk.Stats().BusyTime }
 		for i := 0; i < o.YCSBOps; i++ {
@@ -87,15 +82,11 @@ type GCAblationResult struct {
 // RunGCAblation loads SEALDB, measures fragments (Fig 13 style), runs
 // the defragmentation pass, and measures again.
 func RunGCAblation(o Options) (*GCAblationResult, error) {
-	db, err := o.openStore(lsm.ModeSEALDB)
+	db, _, err := o.loadStore(lsm.ModeSEALDB)
 	if err != nil {
 		return nil, err
 	}
 	defer db.Close()
-	runner := ycsb.NewRunner(storeAdapter{db}, o.ValueSize, o.Seed)
-	if err := runner.LoadRandom(o.Records()); err != nil {
-		return nil, err
-	}
 	mgr := db.Device().DBand
 	occBefore := float64(mgr.Frontier())
 

@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"time"
+
 	"sealdb/internal/smr"
 )
 
@@ -59,66 +61,108 @@ type AmplificationProfile struct {
 	MediaCache  *smr.MediaCacheStats      `json:"media_cache,omitempty"`
 }
 
-// recentCompactionWindow bounds the per-compaction records served by
-// AmplificationProfile to the most recent entries.
+// recentCompactionWindow bounds the per-compaction records the DB
+// keeps (and AmplificationProfile serves) to the most recent entries.
 const recentCompactionWindow = 64
+
+// SetCompactionObserver installs fn to see every flush, compaction
+// and trivial-move record, in order, as it is made; the DB itself
+// keeps only the last recentCompactionWindow. fn runs with the DB
+// lock held and must not call back into the DB. Passing nil removes
+// the observer.
+func (d *DB) SetCompactionObserver(fn func(CompactionInfo)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.compObserver = fn
+}
+
+// deviceMark is the device's busy clock and write counters when a
+// flush or compaction starts. Compactions serialize under d.mu, so
+// the deltas to a later mark are exactly that compaction's own cost.
+type deviceMark struct {
+	busy      time.Duration
+	host, dev int64
+}
+
+func (d *DB) markDevice() deviceMark {
+	ds := d.disk.Stats()
+	return deviceMark{busy: ds.BusyTime, host: d.drive.HostBytesWritten(), dev: ds.BytesWritten}
+}
+
+// recordCompaction accounts one flush, compaction or trivial move: it
+// charges the device time and bytes since start to the record, counts
+// it in the metrics Stats reads, keeps it in the recent ring and
+// hands it to the observer. Caller holds d.mu.
+func (d *DB) recordCompaction(ci CompactionInfo, start deviceMark) {
+	end := d.markDevice()
+	ci.Latency = end.busy - start.busy
+	ci.HostBytes, ci.DeviceBytes = end.host-start.host, end.dev-start.dev
+	m := &d.metrics
+	switch {
+	case ci.Flush:
+		m.flushes.Inc()
+		m.flushBytes.Add(ci.OutputBytes)
+		m.flushLatency.Observe(int64(ci.Latency))
+	case ci.TrivialMove:
+		m.trivialMoves.Inc()
+	default:
+		m.compactions.Inc()
+		m.compactionReadBytes.Add(ci.InputBytes)
+		m.compactionWriteBytes.Add(ci.OutputBytes)
+		m.compactionLatency.Observe(int64(ci.Latency))
+	}
+	m.levelWriteBytes[ci.ToLevel].Add(ci.OutputBytes)
+
+	ca := CompactionAmplification{
+		ID: ci.ID, FromLevel: ci.FromLevel, ToLevel: ci.ToLevel,
+		InputBytes: ci.InputBytes, OutputBytes: ci.OutputBytes,
+		HostBytes: ci.HostBytes, DeviceBytes: ci.DeviceBytes,
+		Flush: ci.Flush, TrivialMove: ci.TrivialMove,
+	}
+	if ci.InputBytes > 0 {
+		ca.WA = float64(ci.OutputBytes) / float64(ci.InputBytes)
+	}
+	if ci.HostBytes > 0 {
+		ca.AWA = float64(ci.DeviceBytes) / float64(ci.HostBytes)
+	}
+	d.recentComps[d.compRecords%recentCompactionWindow] = ca
+	d.compRecords++
+	if d.compObserver != nil {
+		d.compObserver(ci)
+	}
+}
 
 // AmplificationProfile reports the continuous amplification
 // accounting. Do not call while holding d.mu (it takes it).
 func (d *DB) AmplificationProfile() AmplificationProfile {
 	p := AmplificationProfile{Overall: d.Amplification()}
+	for _, li := range d.LevelProfile() {
+		la := LevelAmplification{
+			Level: li.Level, Files: li.Files, Bytes: li.Bytes,
+			WriteBytes: d.metrics.levelWriteBytes[li.Level].Value(),
+			ReadBytes:  d.metrics.levelReadBytes[li.Level].Value(),
+		}
+		if p.Overall.UserBytes > 0 {
+			la.WA = float64(la.WriteBytes) / float64(p.Overall.UserBytes)
+		}
+		p.Levels = append(p.Levels, la)
+	}
 
 	d.mu.Lock()
-	levels := make([]LevelAmplification, d.cfg.NumLevels)
-	cur := d.vs.Current()
-	for l := 0; l < d.cfg.NumLevels; l++ {
-		levels[l] = LevelAmplification{
-			Level: l,
-			Files: cur.NumFiles(l),
-			Bytes: cur.LevelBytes(l),
-		}
+	n := min(d.compRecords, recentCompactionWindow)
+	p.Compactions = make([]CompactionAmplification, 0, n)
+	for i := d.compRecords - n; i < d.compRecords; i++ {
+		p.Compactions = append(p.Compactions, d.recentComps[i%recentCompactionWindow])
 	}
-	comps := d.stats.Compactions
-	if len(comps) > recentCompactionWindow {
-		comps = comps[len(comps)-recentCompactionWindow:]
-	}
-	comps = append([]CompactionInfo(nil), comps...)
 	if d.cfg.vlogEnabled() {
-		va := &VlogAmplification{
-			AppendBytes: d.stats.VlogAppendBytes,
-			GCRuns:      d.stats.VlogGCRuns,
-			GCBytes:     d.stats.VlogGCBytes,
+		p.Vlog = &VlogAmplification{
+			AppendBytes: d.metrics.vlogAppendBytes.Value(),
+			GCRuns:      d.metrics.vlogGCRuns.Value(),
+			GCBytes:     d.metrics.vlogGCRelocated.Value(),
 		}
-		va.LiveBytes, va.DeadBytes, va.Segments = d.vlog.tab.Totals()
-		p.Vlog = va
+		p.Vlog.LiveBytes, p.Vlog.DeadBytes, p.Vlog.Segments = d.vlog.tab.Totals()
 	}
 	d.mu.Unlock()
-
-	for l := range levels {
-		levels[l].WriteBytes = d.metrics.levelWriteBytes[l].Value()
-		levels[l].ReadBytes = d.metrics.levelReadBytes[l].Value()
-		if p.Overall.UserBytes > 0 {
-			levels[l].WA = float64(levels[l].WriteBytes) / float64(p.Overall.UserBytes)
-		}
-	}
-	p.Levels = levels
-
-	p.Compactions = make([]CompactionAmplification, 0, len(comps))
-	for _, ci := range comps {
-		ca := CompactionAmplification{
-			ID: ci.ID, FromLevel: ci.FromLevel, ToLevel: ci.ToLevel,
-			InputBytes: ci.InputBytes, OutputBytes: ci.OutputBytes,
-			HostBytes: ci.HostBytes, DeviceBytes: ci.DeviceBytes,
-			Flush: ci.Flush, TrivialMove: ci.TrivialMove,
-		}
-		if ci.InputBytes > 0 {
-			ca.WA = float64(ci.OutputBytes) / float64(ci.InputBytes)
-		}
-		if ci.HostBytes > 0 {
-			ca.AWA = float64(ci.DeviceBytes) / float64(ci.HostBytes)
-		}
-		p.Compactions = append(p.Compactions, ca)
-	}
 
 	if fbd, ok := smr.Base(d.drive).(*smr.FixedBandDrive); ok {
 		mc := fbd.MediaCacheStats()

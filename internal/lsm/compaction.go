@@ -20,12 +20,9 @@ type compaction struct {
 	trivial  bool
 }
 
-func (c *compaction) inputBytes() int64 {
+func filesSize(files []*version.FileMeta) int64 {
 	var n int64
-	for _, f := range c.inputs0 {
-		n += f.Size
-	}
-	for _, f := range c.inputs1 {
+	for _, f := range files {
 		n += f.Size
 	}
 	return n
@@ -146,9 +143,7 @@ func keyRange(files []*version.FileMeta) (lo, hi []byte) {
 func (d *DB) runCompaction(c *compaction) error {
 	d.compID++
 	id := d.compID
-	startBusy := d.disk.Stats().BusyTime
-	hostStart := d.drive.HostBytesWritten()
-	devStart := d.disk.Stats().BytesWritten
+	start := d.markDevice()
 	sp := d.journal.Begin("compaction", 0)
 	sp.Set("id", int64(id))
 	sp.Set("from", int64(c.level))
@@ -166,12 +161,11 @@ func (d *DB) runCompaction(c *compaction) error {
 		if err := d.vs.LogAndApply(edit); err != nil {
 			return err
 		}
-		d.stats.TrivialMoves++
-		d.stats.Compactions = append(d.stats.Compactions, CompactionInfo{
+		// A move does no I/O of its own: it is charged nothing.
+		d.recordCompaction(CompactionInfo{
 			ID: id, FromLevel: c.level, ToLevel: c.outLevel,
 			Inputs0: 1, TrivialMove: true,
-		})
-		d.metrics.trivialMoves.Inc()
+		}, d.markDevice())
 		sp.Set("trivial", 1)
 		sp.End()
 		return nil
@@ -286,39 +280,19 @@ func (d *DB) runCompaction(c *compaction) error {
 			placements = append(placements, ext)
 		}
 	}
-	inBytes := c.inputBytes()
-	lat := d.disk.Stats().BusyTime - startBusy
-	hostBytes := d.drive.HostBytesWritten() - hostStart
-	devBytes := d.disk.Stats().BytesWritten - devStart
-	d.stats.CompactionCount++
-	d.stats.CompactionReadBytes += inBytes
-	d.stats.CompactionWriteBytes += outBytes
-	d.stats.Compactions = append(d.stats.Compactions, CompactionInfo{
+	in0, in1 := filesSize(c.inputs0), filesSize(c.inputs1)
+	inBytes := in0 + in1
+	d.recordCompaction(CompactionInfo{
 		ID: id, FromLevel: c.level, ToLevel: c.outLevel,
 		Inputs0: len(c.inputs0), Inputs1: len(c.inputs1),
 		InputBytes: inBytes, OutputBytes: outBytes,
 		OutputFiles:      len(outputs),
-		Latency:          lat,
-		HostBytes:        hostBytes,
-		DeviceBytes:      devBytes,
 		OutputPlacements: placements,
-	})
-	d.metrics.compactions.Inc()
-	d.metrics.compactionReadBytes.Add(inBytes)
-	d.metrics.compactionWriteBytes.Add(outBytes)
-	d.metrics.compactionLatency.Observe(int64(lat))
-	// Per-level amplification accounting: bytes read out of each input
-	// level, bytes written into the output level.
-	var in0, in1 int64
-	for _, f := range c.inputs0 {
-		in0 += f.Size
-	}
-	for _, f := range c.inputs1 {
-		in1 += f.Size
-	}
+	}, start)
+	// Per-level amplification: bytes read out of each input level
+	// (recordCompaction counts those written into the output level).
 	d.metrics.levelReadBytes[c.level].Add(in0)
 	d.metrics.levelReadBytes[c.outLevel].Add(in1)
-	d.metrics.levelWriteBytes[c.outLevel].Add(outBytes)
 	sp.Set("input_bytes", inBytes)
 	sp.Set("output_bytes", outBytes)
 	sp.Set("output_files", int64(len(outputs)))

@@ -156,9 +156,15 @@ type DB struct {
 	tables    map[uint64]*sstable.Table
 	sets      *setRegistry
 	snapshots map[kv.SeqNum]int // guarded by mu
-	stats     Stats
 	compID    int
 	closed    bool
+
+	// recentComps is a ring of the last recentCompactionWindow
+	// flush/compaction records; compRecords counts every record made,
+	// and compObserver, when set, sees each one (amplification.go).
+	recentComps  [recentCompactionWindow]CompactionAmplification // guarded by mu
+	compRecords  int                                             // guarded by mu
+	compObserver func(CompactionInfo)                            // guarded by mu
 	// bgErr is the first permanent write-path failure; once set, the
 	// DB is read-only degraded (LevelDB's bg_error_).
 	bgErr error

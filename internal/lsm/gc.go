@@ -106,8 +106,6 @@ func (d *DB) DefragmentBands(maxMoves int) (GCResult, error) {
 	}
 	res.FragmentsAfter = mgr.FragmentBytes(threshold)
 	d.metrics.bandGCPasses.Inc()
-	d.metrics.bandGCMoves.Add(int64(res.SetsMoved))
-	d.metrics.bandGCBytes.Add(res.BytesMoved)
 	sp.Set("sets_moved", int64(res.SetsMoved))
 	sp.Set("bytes_moved", res.BytesMoved)
 	sp.Set("fragments_after", res.FragmentsAfter)
@@ -190,8 +188,8 @@ func (d *DB) relocateSet(rec version.SetRecord, files []*version.FileMeta, level
 	if err := d.backend.FreeExtent(storage.Extent{Off: rec.Off, Len: rec.Len}); err != nil {
 		return 0, err
 	}
-	d.stats.GCMoves++
-	d.stats.GCBytes += moved
+	d.metrics.bandGCMoves.Inc()
+	d.metrics.bandGCBytes.Add(moved)
 	msp.Set("new_set", int64(newID))
 	msp.Set("bytes", moved)
 	msp.Set("members", int64(len(nums)))

@@ -3,6 +3,8 @@ package lsm
 import (
 	"fmt"
 	"testing"
+
+	"sealdb/internal/faultfs"
 )
 
 func TestLevelProfile(t *testing.T) {
@@ -167,6 +169,43 @@ func TestDefragmentBands(t *testing.T) {
 	verifyAll(t, d2, ref)
 	if err := d2.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefragmentBandsCountsMovesOfAbortedPass: a pass that fails on
+// its second relocation still counts the relocation that completed, in
+// the band-GC counters and in Stats.
+func TestDefragmentBandsCountsMovesOfAbortedPass(t *testing.T) {
+	// A dry run on an identical store measures how many device writes
+	// the first relocation issues.
+	dry, fd := newFaultDB(t, ModeSEALDB)
+	loadRandom(t, dry, 12000, 17)
+	start := fd.WriteCount()
+	if res, err := dry.DefragmentBands(1); err != nil || res.SetsMoved != 1 {
+		t.Fatalf("dry run moved %d sets, err %v", res.SetsMoved, err)
+	}
+	firstMove := fd.WriteCount() - start
+	dry.Close()
+
+	d, fd := newFaultDB(t, ModeSEALDB)
+	defer d.Close()
+	loadRandom(t, d, 12000, 17)
+	fd.Inject(faultfs.Rule{Op: faultfs.OpWrite, After: fd.WriteCount() + firstMove, Count: 1})
+	res, err := d.DefragmentBands(0)
+	if err == nil {
+		t.Fatal("pass survived the injected write failure")
+	}
+	if res.SetsMoved != 1 {
+		t.Fatalf("pass completed %d relocations before failing, want 1", res.SetsMoved)
+	}
+	c := d.MetricsSnapshot().Counters
+	if c["sealdb_band_gc_moves_total"] != 1 || d.Stats().GCMoves != 1 {
+		t.Errorf("moves counter %d, Stats().GCMoves %d, want 1",
+			c["sealdb_band_gc_moves_total"], d.Stats().GCMoves)
+	}
+	if c["sealdb_band_gc_bytes_total"] != res.BytesMoved || d.Stats().GCBytes != res.BytesMoved {
+		t.Errorf("bytes counter %d, Stats().GCBytes %d, want %d",
+			c["sealdb_band_gc_bytes_total"], d.Stats().GCBytes, res.BytesMoved)
 	}
 }
 

@@ -280,18 +280,18 @@ func TestCompactionWritesAreSequentialInSEALDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.disk.EnableTrace()
-	loadRandom(t, d, 6000, 13)
-	trace := d.disk.DisableTrace()
 	// Group writes by compaction tag; within a compaction that
 	// produced a set (output level >= 2) the writes must form one
 	// ascending contiguous run.
 	grouped := map[int64]bool{}
-	for _, ci := range d.Stats().Compactions {
+	d.SetCompactionObserver(func(ci CompactionInfo) {
 		if !ci.Flush && !ci.TrivialMove && ci.ToLevel >= 2 && ci.OutputFiles > 0 {
 			grouped[int64(ci.ID)] = true
 		}
-	}
+	})
+	d.disk.EnableTrace()
+	loadRandom(t, d, 6000, 13)
+	trace := d.disk.DisableTrace()
 	runs := map[int64][]int64{} // tag -> offsets in order
 	lens := map[int64]int64{}
 	for _, e := range trace {
@@ -577,6 +577,8 @@ func TestLargeValues(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	d, _ := Open(tinyConfig(ModeSEALDB))
 	defer d.Close()
+	var trace []CompactionInfo
+	d.SetCompactionObserver(func(ci CompactionInfo) { trace = append(trace, ci) })
 	loadRandom(t, d, 3000, 81)
 	st := d.Stats()
 	if st.UserBytes == 0 || st.UserWrites == 0 {
@@ -585,10 +587,10 @@ func TestStatsAccounting(t *testing.T) {
 	if st.FlushBytes == 0 || st.CompactionWriteBytes == 0 {
 		t.Errorf("flush/compaction stats empty: %+v", st)
 	}
-	if len(st.Compactions) == 0 {
+	if len(trace) == 0 {
 		t.Error("no compaction trace")
 	}
-	for _, ci := range st.Compactions {
+	for _, ci := range trace {
 		if !ci.Flush && !ci.TrivialMove && ci.Latency <= 0 {
 			t.Errorf("compaction %d has no simulated latency", ci.ID)
 		}
@@ -596,6 +598,74 @@ func TestStatsAccounting(t *testing.T) {
 	amp := d.Amplification()
 	if amp.MWA < amp.WA {
 		t.Errorf("MWA %v < WA %v", amp.MWA, amp.WA)
+	}
+}
+
+// TestCompactionObserverAndRingMatchCounters: the observer sees every
+// flush, compaction and trivial-move record with IDs 1..N and no gaps,
+// N agrees with the counters Stats reads, and the ring
+// AmplificationProfile serves is the observer's last
+// recentCompactionWindow records. Gets count lookups and GetHits those
+// that returned a value with a nil error.
+func TestCompactionObserverAndRingMatchCounters(t *testing.T) {
+	d, _ := Open(tinyConfig(ModeSEALDB))
+	defer d.Close()
+	var seen []CompactionInfo
+	d.SetCompactionObserver(func(ci CompactionInfo) { seen = append(seen, ci) })
+	// Ascending keys move whole tables down (trivial moves); a random
+	// load over them forces merges.
+	for i := 0; i < 3000; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("seq%07d", i)), bytes.Repeat([]byte("s"), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadRandom(t, d, 6000, 23)
+
+	st := d.Stats()
+	if st.TrivialMoves == 0 || st.CompactionCount == 0 || st.FlushCount == 0 {
+		t.Fatalf("load not mixed: %+v", st)
+	}
+	n := st.FlushCount + st.CompactionCount + st.TrivialMoves
+	if int64(len(seen)) != n {
+		t.Fatalf("observer saw %d records, counters say %d", len(seen), n)
+	}
+	if n <= recentCompactionWindow {
+		t.Fatalf("only %d records; the ring never wrapped", n)
+	}
+	for i, ci := range seen {
+		if ci.ID != i+1 {
+			t.Fatalf("record %d has ID %d", i, ci.ID)
+		}
+	}
+	recent := d.AmplificationProfile().Compactions
+	if len(recent) != recentCompactionWindow {
+		t.Fatalf("ring holds %d records, want %d", len(recent), recentCompactionWindow)
+	}
+	tail := seen[len(seen)-recentCompactionWindow:]
+	for i, ca := range recent {
+		ci := tail[i]
+		if ca.ID != ci.ID || ca.FromLevel != ci.FromLevel || ca.ToLevel != ci.ToLevel ||
+			ca.InputBytes != ci.InputBytes || ca.OutputBytes != ci.OutputBytes ||
+			ca.HostBytes != ci.HostBytes || ca.DeviceBytes != ci.DeviceBytes ||
+			ca.Flush != ci.Flush || ca.TrivialMove != ci.TrivialMove {
+			t.Fatalf("ring entry %d = %+v, observer saw %+v", i, ca, ci)
+		}
+	}
+
+	var hits int64
+	for i := 0; i < 200; i++ {
+		if _, err := d.Get([]byte(fmt.Sprintf("key%07d", i))); err == nil {
+			hits++
+		} else if err != ErrNotFound {
+			t.Fatal(err)
+		}
+	}
+	if hits == 0 || hits == 200 {
+		t.Fatalf("want a mix of hits and misses, got %d hits", hits)
+	}
+	after := d.Stats()
+	if after.Gets-st.Gets != 200 || after.GetHits-st.GetHits != hits {
+		t.Errorf("gets +%d hits +%d, want +200 and +%d", after.Gets-st.Gets, after.GetHits-st.GetHits, hits)
 	}
 }
 

@@ -56,18 +56,13 @@ func (d *DB) getObserved(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error)
 // getLocked is the LevelDB read path: memtable, then level 0 newest
 // to oldest, then each deeper level. Caller holds d.mu; ot may be nil.
 func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
-	d.stats.Gets++
 	si := ot.stageStart(stageReadMemtable, d.traceNow(ot))
 	if v, deleted, ok := d.mem.Get(key, seq); ok {
 		ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadMemNS)
 		if deleted {
 			return nil, ErrNotFound
 		}
-		d.stats.GetHits++
-		if d.cfg.vlogEnabled() {
-			return d.resolveValue(v)
-		}
-		return append([]byte(nil), v...), nil
+		return d.resolveValue(v)
 	}
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadMemNS)
 	v := d.vs.Current()
@@ -92,7 +87,6 @@ func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
 			if kind == kv.KindDelete {
 				return nil, ErrNotFound
 			}
-			d.stats.GetHits++
 			if d.cfg.vlogEnabled() {
 				return d.resolveValue(val)
 			}
@@ -120,7 +114,6 @@ func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
 				if kind == kv.KindDelete {
 					return nil, ErrNotFound
 				}
-				d.stats.GetHits++
 				if d.cfg.vlogEnabled() {
 					return d.resolveValue(val)
 				}
@@ -150,7 +143,6 @@ func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
 			if bestKind == kv.KindDelete {
 				return nil, ErrNotFound
 			}
-			d.stats.GetHits++
 			if d.cfg.vlogEnabled() {
 				return d.resolveValue(best)
 			}

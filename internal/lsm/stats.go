@@ -39,9 +39,10 @@ type CompactionInfo struct {
 	OutputPlacements []storage.Extent
 }
 
-// Stats aggregates engine activity. All byte counts are logical
-// (what the engine asked the device to do); device-level counts come
-// from the drive.
+// Stats aggregates engine activity: a view over the obs counters
+// /metrics exports, read without the DB lock. All byte counts are
+// logical (what the engine asked the device to do); device-level
+// counts come from the drive.
 type Stats struct {
 	UserBytes  int64 // key+value payload accepted from the user
 	UserWrites int64 // mutations accepted
@@ -54,6 +55,8 @@ type Stats struct {
 	CompactionWriteBytes int64
 	TrivialMoves         int64
 
+	// Gets counts lookups; GetHits those that returned a value with a
+	// nil error.
 	Gets    int64
 	GetHits int64
 
@@ -67,8 +70,6 @@ type Stats struct {
 	VlogAppendBytes int64
 	VlogGCRuns      int64
 	VlogGCBytes     int64
-
-	Compactions []CompactionInfo
 }
 
 // Amplification is the paper's Table I, measured: WA from the
@@ -95,9 +96,7 @@ type Amplification struct {
 
 // Amplification computes the current amplification figures.
 func (d *DB) Amplification() Amplification {
-	d.mu.Lock()
-	st := d.stats
-	d.mu.Unlock()
+	st := d.Stats()
 	a := Amplification{
 		UserBytes:   st.UserBytes,
 		StoreBytes:  st.FlushBytes + st.CompactionWriteBytes + st.VlogAppendBytes + st.VlogGCBytes,
@@ -114,9 +113,22 @@ func (d *DB) Amplification() Amplification {
 
 // Stats returns a snapshot of the engine counters.
 func (d *DB) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.stats
-	st.Compactions = append([]CompactionInfo(nil), d.stats.Compactions...)
-	return st
+	m := &d.metrics
+	return Stats{
+		UserBytes:            m.writeBytes.Value(),
+		UserWrites:           m.writes.Value(),
+		FlushCount:           m.flushes.Value(),
+		FlushBytes:           m.flushBytes.Value(),
+		CompactionCount:      m.compactions.Value(),
+		CompactionReadBytes:  m.compactionReadBytes.Value(),
+		CompactionWriteBytes: m.compactionWriteBytes.Value(),
+		TrivialMoves:         m.trivialMoves.Value(),
+		Gets:                 m.gets.Value(),
+		GetHits:              m.getHits.Value(),
+		GCMoves:              m.bandGCMoves.Value(),
+		GCBytes:              m.bandGCBytes.Value(),
+		VlogAppendBytes:      m.vlogAppendBytes.Value(),
+		VlogGCRuns:           m.vlogGCRuns.Value(),
+		VlogGCBytes:          m.vlogGCRelocated.Value(),
+	}
 }

@@ -545,8 +545,6 @@ func (d *DB) vlogGCLocked(minRatio float64) (VlogGCResult, error) {
 	res.ReclaimedBytes = vic.Bytes
 	d.reclaim([]uint64{vic.Num}, nil)
 
-	d.stats.VlogGCRuns++
-	d.stats.VlogGCBytes += res.RelocatedBytes
 	d.metrics.vlogGCRuns.Inc()
 	d.metrics.vlogGCRelocated.Add(res.RelocatedBytes)
 	d.metrics.vlogGCReclaimed.Add(res.ReclaimedBytes)

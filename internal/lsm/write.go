@@ -72,7 +72,6 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 			return d.failWrite(err)
 		}
 		if appended > 0 {
-			d.stats.VlogAppendBytes += appended
 			d.metrics.vlogAppends.Add(records)
 			d.metrics.vlogAppendBytes.Add(appended)
 			d.journal.Record("vlog_append", map[string]int64{
@@ -93,8 +92,6 @@ func (d *DB) applyLocked(b *Batch, ot *opTrace) error {
 		return err
 	}
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageMemtableNS)
-	d.stats.UserBytes += b.bytes
-	d.stats.UserWrites += int64(b.Len())
 	d.metrics.writes.Add(int64(b.Len()))
 	d.metrics.writeBytes.Add(b.bytes)
 	// Write latency includes any rotation/compaction stall the batch

@@ -103,7 +103,7 @@ type Device = lsm.Device
 // Stats aggregates engine activity counters.
 type Stats = lsm.Stats
 
-// CompactionInfo describes one compaction in the trace.
+// CompactionInfo describes one flush or compaction; see DB.SetCompactionObserver.
 type CompactionInfo = lsm.CompactionInfo
 
 // Amplification reports the paper's write-amplification metrics:
