@@ -86,13 +86,32 @@ func BenchmarkEngineGet(b *testing.B) {
 }
 
 func BenchmarkEngineScan100(b *testing.B) {
-	d := benchDB(b, ModeSEALDB)
+	benchScan100(b, benchDB(b, ModeSEALDB))
+}
+
+// BenchmarkEngineScan100Vlog is BenchmarkEngineScan100 with every
+// value in the value log, so each scan chases 100 pointers.
+func BenchmarkEngineScan100Vlog(b *testing.B) {
+	cfg := tinyConfig(ModeSEALDB)
+	cfg.ValueThreshold = 512
+	d, err := Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { d.Close() })
+	benchScan100(b, d)
+}
+
+func benchScan100(b *testing.B, d *DB) {
 	val := make([]byte, 1024)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		d.Put(fmt.Appendf(nil, "key%09d", i), val)
+		if err := d.Put(fmt.Appendf(nil, "key%09d", i), val); err != nil {
+			b.Fatal(err)
+		}
 	}
 	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kvs, err := d.Scan(fmt.Appendf(nil, "key%09d", rng.Intn(n-200)), 100)

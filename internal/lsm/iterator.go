@@ -278,11 +278,18 @@ type Iterator struct {
 	seq   kv.SeqNum
 	epoch uint64 // reclamation epoch pinned until Close (see pins.go)
 	key   []byte
-	val   []byte
-	ok    bool
-	err   error
-	done  bool      // Close ran: the pin is released
-	snap  *Snapshot // released on Close when the iterator owns it
+	// stored is the tree value settle or settleBackward found for key:
+	// tag byte and all when the value log is on. It aliases the merged
+	// stream or run, so it is valid only until the next move.
+	stored []byte
+	run    []byte // settleBackward's copy of the run's best version
+	runKey []byte // settleBackward's current user key
+	skip   []byte // settle's last tombstoned user key
+	val    []byte
+	ok     bool
+	err    error
+	done   bool      // Close ran: the pin is released
+	snap   *Snapshot // released on Close when the iterator owns it
 }
 
 // NewIterator returns an iterator over the current state. The
@@ -299,6 +306,16 @@ func (d *DB) NewIterator() *Iterator {
 func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	it := d.newIteratorLocked(snap.seq)
+	it.epoch = d.pinIter()
+	return it
+}
+
+// newIteratorLocked builds an unpinned iterator over the current
+// version at seq. It stays valid only while the caller keeps d.mu:
+// without a pin, a compaction may reclaim the files it reads. Caller
+// holds d.mu.
+func (d *DB) newIteratorLocked(seq kv.SeqNum) *Iterator {
 	children := []kv.Iterator{d.mem.NewIterator()}
 	v := d.vs.Current()
 	for _, f := range v.Files[0] {
@@ -316,7 +333,7 @@ func (d *DB) NewSnapshotIterator(snap *Snapshot) *Iterator {
 			}
 		}
 	}
-	return &Iterator{d: d, m: newMergingIter(children...), seq: snap.seq, epoch: d.pinIter()}
+	return &Iterator{d: d, m: newMergingIter(children...), seq: seq}
 }
 
 // lazyTableIter defers opening a table until first use.
@@ -378,28 +395,57 @@ func (it *Iterator) SeekToFirst() {
 	defer it.d.mu.Unlock()
 	it.m.SeekToFirst()
 	it.settle(nil)
+	it.chase()
 }
 
 // Seek positions at the first live user key >= target.
 func (it *Iterator) Seek(target []byte) {
 	it.d.mu.Lock()
 	defer it.d.mu.Unlock()
-	it.m.Seek(kv.MakeSearchKey(nil, target, it.seq))
-	it.settle(nil)
+	it.seek(target)
+	it.chase()
 }
 
 // SeekToLast positions at the largest live user key.
 func (it *Iterator) SeekToLast() {
 	it.d.mu.Lock()
 	defer it.d.mu.Unlock()
-	it.m.SeekToLast()
-	it.settleBackward(nil)
+	it.seekToLast()
+	it.chase()
 }
 
 // Next advances to the next live user key.
 func (it *Iterator) Next() {
 	it.d.mu.Lock()
 	defer it.d.mu.Unlock()
+	it.next()
+	it.chase()
+}
+
+// Prev retreats to the previous live user key.
+func (it *Iterator) Prev() {
+	it.d.mu.Lock()
+	defer it.d.mu.Unlock()
+	it.prev()
+	it.chase()
+}
+
+// The unexported moves position the iterator and record the stored
+// value without resolving it; the exported ones follow each with
+// chase, and Scan collects the stored values for one batched chase.
+// Caller holds d.mu.
+
+func (it *Iterator) seek(target []byte) {
+	it.m.Seek(kv.MakeSearchKey(nil, target, it.seq))
+	it.settle(nil)
+}
+
+func (it *Iterator) seekToLast() {
+	it.m.SeekToLast()
+	it.settleBackward(nil)
+}
+
+func (it *Iterator) next() {
 	if !it.ok {
 		return
 	}
@@ -413,10 +459,7 @@ func (it *Iterator) Next() {
 	it.settle(it.key)
 }
 
-// Prev retreats to the previous live user key.
-func (it *Iterator) Prev() {
-	it.d.mu.Lock()
-	defer it.d.mu.Unlock()
+func (it *Iterator) prev() {
 	if !it.ok {
 		return
 	}
@@ -425,24 +468,20 @@ func (it *Iterator) Prev() {
 
 // settleBackward walks the merged stream backward to the newest
 // visible version of the largest live user key strictly below upper
-// (nil = unbounded). Backward order visits a user key's versions
-// oldest first, so each run is scanned to its end before being
-// resolved. Caller holds d.mu.
+// (nil = unbounded) and records it in key and stored. Backward order
+// visits a user key's versions oldest first, so each run is scanned
+// to its end before being resolved. Caller holds d.mu.
 func (it *Iterator) settleBackward(upper []byte) {
 	it.ok = false
 	var (
-		curUser  []byte
 		haveRun  bool
-		bestVal  []byte
 		bestDel  bool
 		haveBest bool
 	)
 	emit := func() bool {
 		if haveRun && haveBest && !bestDel {
-			it.key = append(it.key[:0], curUser...)
-			if !it.setValue(bestVal) {
-				return true // stop: chase error recorded in it.err
-			}
+			it.key = append(it.key[:0], it.runKey...)
+			it.stored = it.run
 			it.ok = true
 			return true
 		}
@@ -455,20 +494,20 @@ func (it *Iterator) settleBackward(upper []byte) {
 			it.m.Prev()
 			continue
 		}
-		if !haveRun || kv.CompareUser(u, curUser) != 0 {
+		if !haveRun || kv.CompareUser(u, it.runKey) != 0 {
 			// Entering a smaller user key's run: the previous run is
 			// complete; resolve it.
 			if haveRun && emit() {
 				return
 			}
-			curUser = append(curUser[:0], u...)
+			it.runKey = append(it.runKey[:0], u...)
 			haveRun = true
 			haveBest = false
 		}
 		if ik.Seq() <= it.seq {
 			// Ascending-seq order within the run: the last visible
 			// entry seen is the newest visible version.
-			bestVal = append(bestVal[:0], it.m.Value()...)
+			it.run = append(it.run[:0], it.m.Value()...)
 			bestDel = ik.Kind() == kv.KindDelete
 			haveBest = true
 		}
@@ -483,8 +522,8 @@ func (it *Iterator) settleBackward(upper []byte) {
 }
 
 // settle advances the merged stream to the newest visible version of
-// the next live user key after prevUser (nil = no lower bound).
-// Caller holds d.mu.
+// the next live user key after prevUser (nil = no lower bound) and
+// records it in key and stored. Caller holds d.mu.
 func (it *Iterator) settle(prevUser []byte) {
 	it.ok = false
 	for it.m.Valid() {
@@ -500,14 +539,13 @@ func (it *Iterator) settle(prevUser []byte) {
 		}
 		if ik.Kind() == kv.KindDelete {
 			// Tombstone: skip every older version of this key.
-			prevUser = append([]byte(nil), u...)
+			it.skip = append(it.skip[:0], u...)
+			prevUser = it.skip
 			it.m.Next()
 			continue
 		}
 		it.key = append(it.key[:0], u...)
-		if !it.setValue(it.m.Value()) {
-			return
-		}
+		it.stored = it.m.Value()
 		it.ok = true
 		return
 	}
@@ -516,22 +554,26 @@ func (it *Iterator) settle(prevUser []byte) {
 	}
 }
 
-// setValue stores the emitted value, chasing a value-log pointer when
-// key–value separation is on. The iterator's snapshot keeps value-log
-// GC at bay, so a pointer read here cannot race a segment drop.
-// Caller holds d.mu; returns false (with it.err set) on a chase error.
-func (it *Iterator) setValue(stored []byte) bool {
-	if !it.d.cfg.vlogEnabled() {
-		it.val = append(it.val[:0], stored...)
-		return true
+// chase resolves the stored value of the current entry into val,
+// following a value-log pointer when key–value separation is on. The
+// iterator's snapshot keeps value-log GC at bay, so a pointer read
+// here cannot race a segment drop. A chase error leaves the iterator
+// invalid with err set. Caller holds d.mu.
+func (it *Iterator) chase() {
+	if !it.ok {
+		return
 	}
-	v, err := it.d.resolveValue(stored)
+	if !it.d.cfg.vlogEnabled() {
+		it.val = append(it.val[:0], it.stored...)
+		return
+	}
+	v, err := it.d.resolveValue(it.key, it.stored)
 	if err != nil {
 		it.err = err
-		return false
+		it.ok = false
+		return
 	}
 	it.val = v
-	return true
 }
 
 // Valid reports whether the iterator is positioned on an entry.
@@ -560,52 +602,4 @@ func (it *Iterator) Close() {
 		it.d.unpinIter(it.epoch)
 		it.d.mu.Unlock()
 	}
-}
-
-// KV is a key/value pair returned by Scan.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
-// Scan returns up to limit live entries with keys >= start, the range
-// query used by YCSB workload E.
-func (d *DB) Scan(start []byte, limit int) ([]KV, error) {
-	it := d.NewIterator()
-	defer it.Close()
-	var out []KV
-	for it.Seek(start); it.Valid() && len(out) < limit; it.Next() {
-		out = append(out, KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-	}
-	return out, it.Error()
-}
-
-// ScanReverse returns up to limit live entries with keys <= start in
-// descending order (nil start = from the largest key).
-func (d *DB) ScanReverse(start []byte, limit int) ([]KV, error) {
-	it := d.NewIterator()
-	defer it.Close()
-	if start == nil {
-		it.SeekToLast()
-	} else {
-		it.Seek(start)
-		if it.Valid() {
-			if kv.CompareUser(it.Key(), start) > 0 {
-				it.Prev()
-			}
-		} else {
-			it.SeekToLast()
-		}
-	}
-	var out []KV
-	for ; it.Valid() && len(out) < limit; it.Prev() {
-		out = append(out, KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-	}
-	return out, it.Error()
 }

@@ -62,7 +62,7 @@ func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
 		if deleted {
 			return nil, ErrNotFound
 		}
-		return d.resolveValue(v)
+		return d.resolveValue(key, v)
 	}
 	ot.stageEnd(si, d.traceNow(ot), d.metrics.stageReadMemNS)
 	v := d.vs.Current()
@@ -88,7 +88,7 @@ func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
 				return nil, ErrNotFound
 			}
 			if d.cfg.vlogEnabled() {
-				return d.resolveValue(val)
+				return d.resolveValue(key, val)
 			}
 			return val, nil
 		}
@@ -115,7 +115,7 @@ func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
 					return nil, ErrNotFound
 				}
 				if d.cfg.vlogEnabled() {
-					return d.resolveValue(val)
+					return d.resolveValue(key, val)
 				}
 				return val, nil
 			}
@@ -144,7 +144,7 @@ func (d *DB) getLocked(key []byte, seq kv.SeqNum, ot *opTrace) ([]byte, error) {
 				return nil, ErrNotFound
 			}
 			if d.cfg.vlogEnabled() {
-				return d.resolveValue(best)
+				return d.resolveValue(key, best)
 			}
 			return best, nil
 		}

@@ -229,45 +229,75 @@ func (d *DB) separateBatch(b *Batch) (records, appended int64, err error) {
 	return records, appended, nil
 }
 
-// resolveValue maps a stored tree value to the user value: with the
-// log disabled it is the identity; otherwise it strips the inline tag
-// or chases the pointer into its segment. The returned slice is
-// always a fresh copy. Caller holds d.mu.
-func (d *DB) resolveValue(stored []byte) ([]byte, error) {
-	if !d.cfg.vlogEnabled() {
-		return append([]byte(nil), stored...), nil
-	}
-	if len(stored) == 0 {
-		return []byte{}, nil
+// decodeStored splits a stored tree value into the user value held
+// inline or the value-log pointer to chase. With the log disabled
+// the stored value is the user value itself. inline aliases stored.
+func (d *DB) decodeStored(stored []byte) (inline []byte, p vlog.Pointer, separated bool, err error) {
+	if !d.cfg.vlogEnabled() || len(stored) == 0 {
+		return stored, vlog.Pointer{}, false, nil
 	}
 	switch stored[0] {
 	case vlogTagInline:
-		return append([]byte(nil), stored[1:]...), nil
+		return stored[1:], vlog.Pointer{}, false, nil
 	case vlogTagPtr:
-		ptr, err := vlog.DecodePointer(stored[1:])
-		if err != nil {
-			return nil, err
-		}
-		_, v, err := d.vlogRead(ptr)
-		return v, err
+		p, err := vlog.DecodePointer(stored[1:])
+		return nil, p, err == nil, err
 	}
-	return nil, fmt.Errorf("lsm: unknown value tag %#x", stored[0])
+	return nil, vlog.Pointer{}, false, fmt.Errorf("lsm: unknown value tag %#x", stored[0])
 }
 
-// vlogRead chases a pointer: one segment read, one record decode.
-// The record CRC (seeded with the segment number) catches both media
-// damage and a pointer into recycled space. Caller holds d.mu.
-func (d *DB) vlogRead(p vlog.Pointer) (key, value []byte, err error) {
-	buf := make([]byte, p.Len)
-	if _, err := d.backend.ReadFileAt(p.Seg, buf, int64(p.Off)); err != nil && err != io.EOF {
-		return nil, nil, fmt.Errorf("lsm: vlog read %+v: %w", p, err)
-	}
-	k, v, _, err := vlog.DecodeRecord(p.Seg, buf)
+// resolveValue maps key's stored tree value to the user value: it
+// strips the inline tag or chases the pointer into its segment. The
+// returned slice is always a fresh copy. Caller holds d.mu.
+func (d *DB) resolveValue(key, stored []byte) ([]byte, error) {
+	inline, p, separated, err := d.decodeStored(stored)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lsm: vlog read %+v: %w", p, err)
+		return nil, err
+	}
+	if !separated {
+		return append([]byte{}, inline...), nil
+	}
+	return d.vlogRead(p, key)
+}
+
+// vlogRead chases one pointer held by key's tree entry: one segment
+// read, one checked record decode. Caller holds d.mu.
+func (d *DB) vlogRead(p vlog.Pointer, key []byte) ([]byte, error) {
+	rec := make([]byte, p.Len)
+	if err := d.vlogReadAt(p, rec); err != nil {
+		return nil, err
+	}
+	v, err := checkVlogRecord(p, key, rec)
+	if err != nil {
+		return nil, err
 	}
 	d.metrics.vlogReads.Inc()
-	return k, v, nil
+	return v, nil
+}
+
+// vlogReadAt fills buf from p's segment starting at p's offset; buf
+// may span several adjacent records. Caller holds d.mu.
+func (d *DB) vlogReadAt(p vlog.Pointer, buf []byte) error {
+	if _, err := d.backend.ReadFileAt(p.Seg, buf, int64(p.Off)); err != nil && err != io.EOF {
+		return fmt.Errorf("lsm: vlog read %+v: %w", p, err)
+	}
+	return nil
+}
+
+// checkVlogRecord decodes the record p names from rec (its p.Len
+// bytes) and returns the value, aliasing rec. The record CRC (seeded
+// with the segment number) catches media damage and a pointer into
+// recycled space; the length and key checks catch a pointer aimed at
+// some other intact record.
+func checkVlogRecord(p vlog.Pointer, key, rec []byte) ([]byte, error) {
+	k, v, n, err := vlog.DecodeRecord(p.Seg, rec)
+	if err == nil && (n != len(rec) || !bytes.Equal(k, key)) {
+		err = fmt.Errorf("%w: %d-byte record holds key %q, tree key %q", vlog.ErrCorrupt, n, k, key)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lsm: vlog read %+v: %w", p, err)
+	}
+	return v, nil
 }
 
 // vlogDeadValue inspects a stored tree value being dropped by

@@ -410,11 +410,9 @@ func (c *Client) Apply(b *Batch) error {
 	return nil
 }
 
-// KV is one scan result entry.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
+// KV is one scan result entry. It is the wire type itself, so a
+// scan reply decodes straight into the returned slice.
+type KV = wire.KV
 
 // Scan returns up to limit live entries with keys >= start.
 // Idempotent: retried on connection failures.
@@ -429,15 +427,11 @@ func (c *Client) Scan(start []byte, limit int) ([]KV, error) {
 	if st != wire.StatusOK {
 		return nil, statusErr(st, body)
 	}
-	wkvs, err := wire.DecodeScanReply(body)
+	kvs, err := wire.DecodeScanReply(body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConn, err)
 	}
-	out := make([]KV, len(wkvs))
-	for i, e := range wkvs {
-		out[i] = KV{Key: e.Key, Value: e.Value}
-	}
-	return out, nil
+	return kvs, nil
 }
 
 // Stats fetches the server's STATS payload (engine stats, mode,

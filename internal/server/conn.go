@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -198,11 +199,18 @@ func (c *conn) doScan(f *wire.Frame) {
 		c.send(errReply(f.ReqID, err))
 		return
 	}
-	out := make([]wire.KV, len(kvs))
-	for i := range kvs {
-		out[i] = wire.KV{Key: kvs[i].Key, Value: kvs[i].Value}
+	// Size the reply exactly and encode it, status byte first, into
+	// one buffer. A reply larger than the frame limit is refused
+	// instead of sent: a client reading with the same limit would
+	// drop the whole connection over it.
+	n := 1 + wire.ScanReplySize(kvs)
+	if max := wire.MaxPayload(c.srv.cfg.maxFrame()); n > max {
+		c.send(wire.Reply(f.ReqID, wire.StatusTooLarge,
+			fmt.Appendf(nil, "server: scan reply of %d bytes exceeds the %d-byte frame payload limit", n, max)))
+		return
 	}
-	c.send(wire.Reply(f.ReqID, wire.StatusOK, wire.AppendScanReply(nil, out)))
+	p := append(make([]byte, 0, n), byte(wire.StatusOK))
+	c.send(wire.Frame{Op: wire.OpReply, ReqID: f.ReqID, Payload: wire.AppendScanReply(p, kvs)})
 }
 
 func (c *conn) doStats(f *wire.Frame) {

@@ -478,3 +478,72 @@ func TestOversizedFrameRefused(t *testing.T) {
 		t.Fatalf("status = %v, want StatusTooLarge", st)
 	}
 }
+
+// TestOversizedScanReplyRefused: a scan whose reply would exceed the
+// frame limit is answered with StatusTooLarge before anything large is
+// sent, and the connection keeps serving: a Get and a smaller scan on
+// the same socket still succeed, and a sealclient sees a status error,
+// not a connection error.
+func TestOversizedScanReplyRefused(t *testing.T) {
+	db, srv := newTestServer(t, Config{MaxFrame: 16 << 10})
+	val := bytes.Repeat([]byte("v"), 1024)
+	for i := 0; i < 40; i++ {
+		if err := db.Put(fmt.Appendf(nil, "k%03d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nc, br, hr := rawConn(t, srv.Addr().String(),
+		wire.Hello{Magic: wire.Magic, Version: wire.Version})
+	if st, _, err := wire.ParseReply(hr.Payload); err != nil || st != wire.StatusOK {
+		t.Fatalf("handshake: %v %v", st, err)
+	}
+	roundTrip := func(f wire.Frame) (wire.Status, []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(nc, &f); err != nil {
+			t.Fatalf("write %v: %v", f.Op, err)
+		}
+		rf, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("read reply to %v: %v", f.Op, err)
+		}
+		if rf.ReqID != f.ReqID {
+			t.Fatalf("reply id %d, want %d", rf.ReqID, f.ReqID)
+		}
+		st, body, err := wire.ParseReply(rf.Payload)
+		if err != nil {
+			t.Fatalf("parse reply to %v: %v", f.Op, err)
+		}
+		return st, body
+	}
+
+	st, body := roundTrip(wire.Frame{Op: wire.OpScan, ReqID: 1, Payload: wire.AppendScan(nil, nil, 1000)})
+	if st != wire.StatusTooLarge || len(body) > 1024 {
+		t.Fatalf("oversized scan: status %v with a %d-byte body, want a short StatusTooLarge", st, len(body))
+	}
+	st, body = roundTrip(wire.Frame{Op: wire.OpGet, ReqID: 2, Payload: wire.AppendGet(nil, []byte("k007"))})
+	if st != wire.StatusOK || !bytes.Equal(body, val) {
+		t.Fatalf("get after refusal: status %v, %d bytes", st, len(body))
+	}
+	st, body = roundTrip(wire.Frame{Op: wire.OpScan, ReqID: 3, Payload: wire.AppendScan(nil, []byte("k010"), 5)})
+	if st != wire.StatusOK {
+		t.Fatalf("small scan after refusal: status %v", st)
+	}
+	if kvs, err := wire.DecodeScanReply(body); err != nil || len(kvs) != 5 || string(kvs[0].Key) != "k010" {
+		t.Fatalf("small scan after refusal: %d entries, %v", len(kvs), err)
+	}
+
+	c, err := sealclient.Dial(srv.Addr().String(), sealclient.Options{Conns: 1, MaxFrame: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Scan(nil, 1000); err == nil || errors.Is(err, sealclient.ErrConn) {
+		t.Fatalf("client oversized scan = %v, want a non-connection status error", err)
+	}
+	if got, err := c.Get([]byte("k007")); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("client get after refusal: %d bytes, %v", len(got), err)
+	}
+	if n := srv.m.connErrors.Value(); n != 0 {
+		t.Fatalf("%d connection errors, want 0", n)
+	}
+}

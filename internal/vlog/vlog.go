@@ -59,12 +59,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func mask(c uint32) uint32 { return ((c >> 15) | (c << 17)) + 0xa282ead8 }
 
 // recordCRC checksums a record body (everything after the crc field)
-// seeded with the segment file number.
+// seeded with the segment file number. The eight little-endian seed
+// bytes are folded in through the table by hand: handing a stack
+// array to crc32.Update moves it to the heap, one allocation per
+// record on every append, chase and segment scan. The result equals
+// crc32.Update over the seed bytes followed by the body.
 func recordCRC(seg uint64, body []byte) uint32 {
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], seg)
-	c := crc32.Update(0, castagnoli, seed[:])
-	c = crc32.Update(c, castagnoli, body)
+	c := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		c = castagnoli[byte(c)^byte(seg>>(8*i))] ^ c>>8
+	}
+	c = crc32.Update(^c, castagnoli, body)
 	return mask(c)
 }
 

@@ -175,15 +175,44 @@ type KV struct {
 	Value []byte
 }
 
+// ScanPair is the shape of a scan reply entry: KV, or any struct type
+// with exactly its fields, such as the engine's result type, which a
+// server can then encode without converting it.
+type ScanPair interface {
+	~struct{ Key, Value []byte }
+}
+
+// ScanReplySize returns the encoded size of the scan reply body
+// AppendScanReply produces for kvs.
+func ScanReplySize[P ScanPair](kvs []P) int {
+	n := uvarintLen(uint64(len(kvs)))
+	for _, p := range kvs {
+		e := struct{ Key, Value []byte }(p)
+		n += uvarintLen(uint64(len(e.Key))) + len(e.Key) + uvarintLen(uint64(len(e.Value))) + len(e.Value)
+	}
+	return n
+}
+
 // AppendScanReply encodes a scan reply body: count then (key, value)
-// pairs.
-func AppendScanReply(dst []byte, kvs []KV) []byte {
+// pairs. A dst with ScanReplySize bytes of spare capacity takes the
+// body without growing.
+func AppendScanReply[P ScanPair](dst []byte, kvs []P) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(kvs)))
-	for _, e := range kvs {
+	for _, p := range kvs {
+		e := struct{ Key, Value []byte }(p)
 		dst = appendBytes(dst, e.Key)
 		dst = appendBytes(dst, e.Value)
 	}
 	return dst
+}
+
+// uvarintLen returns the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // DecodeScanReply parses a scan reply body. Entries alias p.

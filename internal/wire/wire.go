@@ -22,6 +22,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -170,17 +171,49 @@ type Frame struct {
 // extended slice. It never fails: payload size policy is enforced by
 // the reader on the other end.
 func AppendFrame(dst []byte, f *Frame) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerLen+len(f.Payload)))
-	dst = append(dst, byte(f.Op))
-	dst = binary.LittleEndian.AppendUint64(dst, f.ReqID)
-	return append(dst, f.Payload...)
+	return append(appendHeader(dst, f), f.Payload...)
 }
 
-// WriteFrame encodes and writes one frame.
+// appendHeader appends the frame's length prefix, opcode and request
+// id: every byte before the payload.
+func appendHeader(dst []byte, f *Frame) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerLen+len(f.Payload)))
+	dst = append(dst, byte(f.Op))
+	return binary.LittleEndian.AppendUint64(dst, f.ReqID)
+}
+
+// WriteFrame writes one frame. On a *bufio.Writer it writes the
+// header, encoded straight into the writer's free space, and then the
+// payload, so the frame is never copied whole and the call does not
+// allocate. Any other writer gets the frame in a single Write: on a
+// bare socket a frame split in two can lose its second half to a peer
+// that answers and closes after the first (the handshake refusal
+// does).
 func WriteFrame(w io.Writer, f *Frame) error {
-	buf := AppendFrame(make([]byte, 0, 4+headerLen+len(f.Payload)), f)
-	_, err := w.Write(buf)
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		_, err := w.Write(AppendFrame(make([]byte, 0, 4+headerLen+len(f.Payload)), f))
+		return err
+	}
+	if bw.Available() < 4+headerLen {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.Write(appendHeader(bw.AvailableBuffer(), f)); err != nil {
+		return err
+	}
+	_, err := bw.Write(f.Payload)
 	return err
+}
+
+// MaxPayload returns the largest payload a frame can carry past a
+// reader bounded by max (0 means DefaultMaxFrame).
+func MaxPayload(max int) int {
+	if max <= 0 {
+		max = DefaultMaxFrame
+	}
+	return max - headerLen
 }
 
 // ReadFrame reads one frame from r, rejecting frames whose declared

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -130,5 +131,87 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}
 	if _, err := DecodeWriteBatch(huge); err == nil {
 		t.Fatal("huge batch count accepted")
+	}
+}
+
+// TestWriteFrameBufioAllocFree keeps the server's and client's write
+// path off the heap: WriteFrame into a *bufio.Writer encodes the
+// header into the writer's buffer and hands the payload over as is.
+func TestWriteFrameBufioAllocFree(t *testing.T) {
+	bw := bufio.NewWriterSize(io.Discard, 4096)
+	small := Frame{Op: OpReply, ReqID: 42, Payload: []byte{byte(StatusOK), 'v'}}
+	big := Frame{Op: OpReply, ReqID: 43, Payload: make([]byte, 10000)}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := WriteFrame(bw, &small); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(bw, &big); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("WriteFrame to a bufio.Writer allocates %.1f times per call pair, want 0", n)
+	}
+}
+
+// TestWriteFrameBufioBytes: through a buffer too small for whole
+// frames (and nearly full when a header arrives), WriteFrame still
+// writes exactly AppendFrame's bytes.
+func TestWriteFrameBufioBytes(t *testing.T) {
+	frames := []Frame{
+		{Op: OpGet, ReqID: 1, Payload: AppendGet(nil, []byte("k"))},
+		{Op: OpReply, ReqID: 1 << 40, Payload: bytes.Repeat([]byte("v"), 100)},
+		{Op: OpStats, ReqID: 3},
+		{Op: OpPut, ReqID: 4, Payload: AppendPut(nil, []byte("key"), []byte("value"))},
+	}
+	var want []byte
+	var got bytes.Buffer
+	bw := bufio.NewWriterSize(&got, 16)
+	for i := 0; i < 20; i++ {
+		f := &frames[i%len(frames)]
+		want = AppendFrame(want, f)
+		if err := WriteFrame(bw, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteFrame through a 16-byte bufio.Writer wrote %d bytes differing from AppendFrame's %d", got.Len(), len(want))
+	}
+}
+
+// TestScanReplySize checks the presizing contract: ScanReplySize is
+// exactly the bytes AppendScanReply adds, across one- and multi-byte
+// length prefixes, for KV and for any struct type of the same shape.
+func TestScanReplySize(t *testing.T) {
+	type pair struct{ Key, Value []byte }
+	for _, n := range []int{0, 1, 3, 200} {
+		var kvs []KV
+		var pairs []pair
+		for i := 0; i < n; i++ {
+			k, v := bytes.Repeat([]byte("k"), i), bytes.Repeat([]byte("v"), 37*i)
+			kvs = append(kvs, KV{Key: k, Value: v})
+			pairs = append(pairs, pair{Key: k, Value: v})
+		}
+		want := AppendScanReply([]byte{0xaa}, kvs)
+		if got := ScanReplySize(kvs); got != len(want)-1 {
+			t.Fatalf("%d entries: ScanReplySize = %d, AppendScanReply wrote %d", n, got, len(want)-1)
+		}
+		buf := make([]byte, 1, 1+ScanReplySize(pairs))
+		buf[0] = 0xaa
+		buf = AppendScanReply(buf, pairs)
+		if !bytes.Equal(buf, want) || cap(buf) != len(want) {
+			t.Fatalf("%d entries: presized encode of a same-shape type differs or grew (len %d cap %d, want %d)", n, len(buf), cap(buf), len(want))
+		}
+		got, err := DecodeScanReply(want[1:])
+		if err != nil || len(got) != n {
+			t.Fatalf("%d entries: decode: %d, %v", n, len(got), err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i].Key, kvs[i].Key) || !bytes.Equal(got[i].Value, kvs[i].Value) {
+				t.Fatalf("%d entries: entry %d differs after round trip", n, i)
+			}
+		}
 	}
 }
